@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/atomic_file.h"
 #include "index/inv_index.h"
 #include "index/prefix_index.h"
 #include "index/sharded_stream_index.h"
@@ -499,6 +500,10 @@ const RunStats& SssjEngine::stats() const {
 
 size_t SssjEngine::MemoryBytes() const { return core_->MemoryBytes(); }
 
+size_t SssjEngine::MemoryBytesSlow() const {
+  return core_->MemoryBytesSlow();
+}
+
 bool SssjEngine::MigrationEnabled() const {
   return config_.adaptive.enable_migration ||
          config_.index == IndexScheme::kAuto;
@@ -750,15 +755,15 @@ Status SssjEngine::SaveCheckpoint(const std::string& path) const {
   if (!MigrationEnabled() && !NativeCheckpointable()) {
     return Status::Unimplemented(kNativeOnlyMessage);
   }
-  std::ofstream f(path, std::ios::binary);
-  if (!f) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  Status status = SaveCheckpoint(f);
-  if (status.code() == StatusCode::kIoError) {
-    return Status::IoError("write failure on " + path);
-  }
-  return status;
+  // Written to <path>.tmp and renamed into place, so a failed or
+  // interrupted save never tears the previous checkpoint at `path`.
+  AtomicFileWriter file(path);
+  const Status status = SaveCheckpoint(file.stream());
+  if (!status.ok() && status.code() != StatusCode::kIoError) return status;
+  // kIoError means the stream went bad (the temp file could not be
+  // created, or a write failed): Commit then refuses to rename and names
+  // the file.
+  return file.Commit();
 }
 
 Status SssjEngine::LoadNative(std::istream& is) {

@@ -325,8 +325,12 @@ class SssjEngine {
   // (posting-list columns + residual store). MB: the buffered windows plus
   // the peak per-window index footprint seen this run (the window index
   // only lives inside a close, so its high-water mark is the capacity
-  // signal).
+  // signal). O(1) — running totals kept where the state changes — so a
+  // service may read it after every push.
   size_t MemoryBytes() const;
+  // The same number recomputed by walking the whole state: the oracle
+  // MemoryBytes() must equal exactly, for tests. O(state).
+  size_t MemoryBytesSlow() const;
 
   const RunStats& stats() const;
   const DecayParams& params() const { return params_; }

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/atomic_file.h"
+
 namespace sssj {
 
 namespace {
@@ -89,24 +91,12 @@ std::string ManifestFor(const std::string& checkpoint_path) {
          kSpillManifestSuffix;
 }
 
-// Writes the version-1 manifest; on failure the caller deletes the
-// checkpoint so no orphaned state file survives.
-Status WriteSpillManifest(const std::string& manifest_path,
-                          const std::string& session_name,
-                          const std::string& checkpoint_filename) {
-  std::ofstream os(manifest_path, std::ios::trunc);
-  if (!os) {
-    return Status::IoError("cannot open spill manifest for writing: " +
-                           manifest_path);
-  }
+// Writes the version-1 manifest body.
+void WriteSpillManifest(std::ostream& os, const std::string& session_name,
+                        const std::string& checkpoint_filename) {
   os << kSpillMagicLine << "\n";
   os << "name_hex=" << HexEncode(session_name) << "\n";
   os << "checkpoint=" << checkpoint_filename << "\n";
-  os.flush();
-  if (!os) {
-    return Status::IoError("short write to spill manifest: " + manifest_path);
-  }
-  return Status::Ok();
 }
 
 // Parses a version-1 manifest. A malformed or unknown-version file is a
@@ -194,11 +184,25 @@ Status JoinService::EvictLocked(Session* victim) {
   const std::string stem = SpillStem(victim->name);
   const std::string path =
       options_.spill_dir + "/" + stem + kSpillCheckpointSuffix;
-  Status status = victim->engine->SaveCheckpoint(path);
+  // Both files are staged as fsynced temps before either is renamed into
+  // place, so a failed spill (full disk, unwritable temp) leaves a
+  // previous spill pair of this name exactly as it was. Only a failing
+  // rename of the manifest after the checkpoint's can split the pair; the
+  // checkpoint is then deleted so no orphaned state file survives.
+  AtomicFileWriter checkpoint(path);
+  Status status = victim->engine->SaveCheckpoint(checkpoint.stream());
+  // kIoError means a bad stream, which Finish reports with the file named.
+  if (!status.ok() && status.code() != StatusCode::kIoError) return status;
+  AtomicFileWriter manifest(ManifestFor(path));
+  WriteSpillManifest(manifest.stream(), victim->name,
+                     stem + kSpillCheckpointSuffix);
+  for (AtomicFileWriter* file : {&checkpoint, &manifest}) {
+    status = file->Finish();
+    if (!status.ok()) return status;
+  }
+  status = checkpoint.Commit();
   if (!status.ok()) return status;
-  status = WriteSpillManifest(options_.spill_dir + "/" + stem +
-                                  kSpillManifestSuffix,
-                              victim->name, stem + kSpillCheckpointSuffix);
+  status = manifest.Commit();
   if (!status.ok()) {
     std::remove(path.c_str());
     return status;

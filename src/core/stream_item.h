@@ -19,6 +19,12 @@ struct StreamItem {
 // tests, generators, and the mini-batch window buffers.
 using Stream = std::vector<StreamItem>;
 
+// Resident bytes one buffered item accounts for (the item plus its
+// coordinates), as the join cores' MemoryBytes() count them.
+inline size_t ItemBytes(const StreamItem& item) {
+  return sizeof(StreamItem) + item.vec.nnz() * sizeof(Coord);
+}
+
 // True iff timestamps are non-decreasing and ids strictly increasing.
 inline bool IsTimeOrdered(const Stream& s) {
   for (size_t i = 1; i < s.size(); ++i) {

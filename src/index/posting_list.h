@@ -34,6 +34,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -354,8 +355,9 @@ class PostingList {
 
   // Full allocated footprint: the list object itself (classifier state,
   // buffer headers), mutable-tail capacity, compressed frozen blocks, and
-  // per-block bookkeeping. What the index-level MemoryBytes() accounting
-  // sums — strictly larger than capacity_bytes(), never payload-only.
+  // per-block bookkeeping. What PostingMap's running total sums —
+  // strictly larger than capacity_bytes(), never payload-only. O(1) on an
+  // untiered list, O(frozen blocks) otherwise.
   size_t memory_bytes() const {
     size_t bytes = sizeof(PostingList) + store_.capacity_bytes() +
                    frozen_.capacity() * sizeof(FrozenBlock);
@@ -501,26 +503,120 @@ class BatchPostingList {
   std::vector<Timestamp> ts_;
 };
 
-// Allocated footprint of an unordered_map<DimId, PostingList> posting
-// container, including what the per-payload `capacity_bytes` view used
-// to miss: the PostingList object headers inside the map nodes, the
-// node-overhead of the chaining hash map (hash link + bucket chain
-// pointer per node, approximated at two pointers), and the bucket
-// array. Shared by every stream index's MemoryBytes() so the mem(MB)
-// bench column — the signal the tiering budget acts on — reports
-// capacity, not payload.
-template <typename Map>
-size_t PostingMapMemoryBytes(const Map& lists) {
-  size_t bytes = lists.bucket_count() * sizeof(void*);
-  for (const auto& [dim, list] : lists) {
-    // memory_bytes() already covers the PostingList object itself; add
-    // only the key (with pair padding) and the node-link overhead here.
-    bytes += sizeof(typename Map::value_type) - sizeof(PostingList) +
-             2 * sizeof(void*);
-    bytes += list.memory_bytes();
+// The list object is part of every reported byte count (memory_bytes()
+// and the map accounting below both include it), so its size is pinned:
+// growing it moves the resident-memory figures of every stream index.
+static_assert(sizeof(void*) != 8 || sizeof(PostingList) == 128,
+              "PostingList size is part of the reported memory footprint");
+
+// The posting container of every stream index: DimId -> PostingList plus a
+// running total of the lists' memory_bytes(), so MemoryBytes() is O(1) and
+// returns exactly what MemoryBytesSlow() walks to. Every change that can
+// move a list's footprint (append, freeze, truncation, compaction,
+// creation, clear) goes through this class, which adds the list's
+// memory_bytes() after the change minus before it — O(1) on an untiered
+// list, O(that list's frozen blocks) on a tiered one. Lists reached
+// through Find() may be scanned and NoteScanned() (which never changes
+// the footprint); anything else must go through Update().
+class PostingMap {
+ public:
+  using Map = std::unordered_map<DimId, PostingList>;
+
+  PostingList* Find(DimId dim) {
+    auto it = lists_.find(dim);
+    return it == lists_.end() ? nullptr : &it->second;
   }
-  return bytes;
-}
+
+  // The list for `dim`, created empty (and accounted) when absent.
+  PostingList& FindOrCreate(DimId dim) {
+    auto [it, inserted] = lists_.try_emplace(dim);
+    if (inserted) list_bytes_ += it->second.memory_bytes();
+    return it->second;
+  }
+
+  // Runs fn(list) on one of this map's lists and books the change of its
+  // footprint; returns what fn returns.
+  template <typename Fn>
+  decltype(auto) Update(PostingList& list, Fn&& fn) {
+    const ByteDelta delta(&list, &list_bytes_);
+    return fn(list);
+  }
+
+  // Appends one posting to dim's list and lets the tiering classifier
+  // freeze its cold tail (tick as in PostingList::MaybeFreeze).
+  void Append(DimId dim, VectorId id, double value, double prefix_norm,
+              Timestamp ts, const TieredStorageOptions& tiered,
+              uint64_t tick) {
+    Update(FindOrCreate(dim), [&](PostingList& list) {
+      list.Append(id, value, prefix_norm, ts);
+      list.MaybeFreeze(tiered, tick);
+    });
+  }
+
+  size_t TruncateFront(PostingList& list, size_t n) {
+    return Update(list, [n](PostingList& l) { return l.TruncateFront(n); });
+  }
+
+  size_t CompactExpired(PostingList& list, Timestamp cutoff,
+                        FrozenColumns* scratch) {
+    return Update(list, [&](PostingList& l) {
+      return l.CompactExpired(cutoff, scratch);
+    });
+  }
+
+  void Clear() {
+    lists_.clear();
+    list_bytes_ = 0;
+  }
+
+  size_t size() const { return lists_.size(); }
+  Map::const_iterator begin() const { return lists_.begin(); }
+  Map::const_iterator end() const { return lists_.end(); }
+
+  // Allocated footprint, O(1): the bucket array, per node the key (with
+  // pair padding) and the chaining links (hash link + bucket chain
+  // pointer, approximated at two pointers), plus every list's
+  // memory_bytes() — which already covers the PostingList object inside
+  // the node. This is what the mem(MB) bench column and the JoinService
+  // budget meter.
+  size_t MemoryBytes() const {
+    return lists_.bucket_count() * sizeof(void*) +
+           lists_.size() * kNodeBytes + list_bytes_;
+  }
+  // The same number by walking every list, O(lists + frozen blocks): the
+  // test oracle MemoryBytes() must always equal. Never call it on a push
+  // path.
+  size_t MemoryBytesSlow() const {
+    size_t bytes = lists_.bucket_count() * sizeof(void*);
+    for (const auto& [dim, list] : lists_) {
+      bytes += kNodeBytes + list.memory_bytes();
+    }
+    return bytes;
+  }
+
+ private:
+  static constexpr size_t kNodeBytes =
+      sizeof(Map::value_type) - sizeof(PostingList) + 2 * sizeof(void*);
+
+  // Adds the list's footprint change to the total when the mutation
+  // returns (unsigned wrap-around makes shrinking lists come out right).
+  class ByteDelta {
+   public:
+    ByteDelta(const PostingList* list, size_t* total)
+        : list_(list), total_(total), before_(list->memory_bytes()) {}
+    ~ByteDelta() { *total_ += list_->memory_bytes() - before_; }
+    ByteDelta(const ByteDelta&) = delete;
+    ByteDelta& operator=(const ByteDelta&) = delete;
+
+   private:
+    const PostingList* list_;
+    size_t* total_;
+    size_t before_;
+  };
+
+  Map lists_;
+  size_t list_bytes_ = 0;  // sum of every list's memory_bytes()
+};
 
 }  // namespace sssj
 

@@ -49,6 +49,8 @@ class ResidualStore {
   // Returns the stored record.
   ResidualRecord& Insert(VectorId id, ResidualRecord rec);
 
+  // Mutable access may change any field except `prefix`, whose size is
+  // part of the byte total: shrink it with ShrinkPrefix.
   ResidualRecord* Find(VectorId id) { return map_.find(id); }
   const ResidualRecord* Find(VectorId id) const { return map_.find(id); }
 
@@ -71,22 +73,32 @@ class ResidualStore {
       fn(ids[i], *rec);
     }
     ids.resize(w);
-    if (ids.empty()) prefix_dims_.erase(it);
+    if (ids.empty()) {
+      bytes_ -= sizeof(DimId) + ids.capacity() * sizeof(VectorId);
+      prefix_dims_.erase(it);
+    }
   }
 
-  // Re-registers prefix dims after a record's prefix shrank (re-indexing).
-  // Only dims still present in the new prefix remain discoverable; stale
-  // entries are cleaned lazily by ForEachWithPrefixDim.
-  void NotePrefixShrunk(VectorId) {}  // nothing to do: cleanup is lazy
+  // Truncates a stored record's prefix to its first `len` coordinates
+  // (L2AP re-indexing). Dims that left the prefix stay in the prefix-dim
+  // index until ForEachWithPrefixDim cleans them lazily.
+  void ShrinkPrefix(ResidualRecord* rec, size_t len) {
+    bytes_ -= (rec->prefix.nnz() - len) * sizeof(Coord);
+    rec->prefix = rec->prefix.Prefix(len);
+  }
 
   size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }
   void Clear();
 
   // Approximate resident bytes (records + stored prefix coordinates +
-  // prefix-dim inverted index). O(records); intended for periodic
-  // sampling, not per-arrival calls.
-  size_t ApproxBytes() const;
+  // prefix-dim inverted index). O(1): a running total that Insert,
+  // ExpireOlderThan, ShrinkPrefix, Clear and every prefix-dim vector
+  // capacity change keep up to date.
+  size_t ApproxBytes() const { return bytes_; }
+  // The same number by walking every record and prefix-dim vector — the
+  // test oracle ApproxBytes() must equal exactly. O(records).
+  size_t ApproxBytesSlow() const;
 
   // Iterates records in insertion (time) order. Fn: void(VectorId,
   // const ResidualRecord&). Used by checkpointing, which must preserve
@@ -98,10 +110,15 @@ class ResidualStore {
 
  private:
   void RegisterPrefixDims(VectorId id, const SparseVector& prefix);
+  static size_t RecordBytes(const ResidualRecord& rec) {
+    return sizeof(VectorId) + sizeof(ResidualRecord) +
+           rec.prefix.nnz() * sizeof(Coord);
+  }
 
   LinkedHashMap<VectorId, ResidualRecord> map_;
   std::unordered_map<DimId, std::vector<VectorId>> prefix_dims_;
   bool track_prefix_dims_;
+  size_t bytes_ = 0;  // == ApproxBytesSlow()
 };
 
 }  // namespace sssj

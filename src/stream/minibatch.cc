@@ -37,9 +37,7 @@ Timestamp WindowEndFor(Timestamp start, double tau) {
 
 size_t StreamBytes(const Stream& window) {
   size_t bytes = 0;
-  for (const StreamItem& item : window) {
-    bytes += sizeof(StreamItem) + item.vec.nnz() * sizeof(Coord);
-  }
+  for (const StreamItem& item : window) bytes += ItemBytes(item);
   return bytes;
 }
 }  // namespace
@@ -70,6 +68,7 @@ bool MiniBatchJoin::Push(const StreamItem& x, ResultSink* sink) {
     }
   }
   cur_.push_back(x);
+  cur_bytes_ += ItemBytes(x);
   ++stats_.vectors_processed;
   return true;
 }
@@ -85,6 +84,10 @@ void MiniBatchJoin::Flush(ResultSink* sink) {
 }
 
 size_t MiniBatchJoin::MemoryBytes() const {
+  return prev_bytes_ + cur_bytes_ + peak_index_bytes_;
+}
+
+size_t MiniBatchJoin::MemoryBytesSlow() const {
   return StreamBytes(prev_) + StreamBytes(cur_) + peak_index_bytes_;
 }
 
@@ -128,6 +131,8 @@ void MiniBatchJoin::CloseWindow(ResultSink* sink) {
 
   prev_ = std::move(cur_);
   cur_.clear();
+  prev_bytes_ = cur_bytes_;
+  cur_bytes_ = 0;
 }
 
 void MiniBatchJoin::QueryWindowParallel(const BatchIndex& index,

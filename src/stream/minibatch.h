@@ -96,8 +96,10 @@ class MiniBatchJoin final : public JoinCore {
   // Approximate resident bytes: the buffered windows W_{k−1} and W_k plus
   // the peak footprint of a per-window index seen this run (the index
   // itself only lives inside CloseWindow, so its high-water mark is the
-  // number that matters for capacity planning).
+  // number that matters for capacity planning). O(1): the window bytes
+  // are running totals; MemoryBytesSlow() walks the windows (test oracle).
   size_t MemoryBytes() const override;
+  size_t MemoryBytesSlow() const override;
 
   // Window sizes, exposed for tests.
   size_t pending_current() const { return cur_.size(); }
@@ -156,6 +158,8 @@ class MiniBatchJoin final : public JoinCore {
   double window_len_;  // window_factor · τ
   Stream prev_;  // W_{k−1}: awaiting indexing
   Stream cur_;   // W_k: accumulating
+  size_t prev_bytes_ = 0;  // StreamBytes(prev_), kept incrementally
+  size_t cur_bytes_ = 0;   // StreamBytes(cur_), kept incrementally
   Timestamp window_end_ = 0.0;
   Timestamp last_ts_ = 0.0;
   bool started_ = false;

@@ -174,12 +174,18 @@ class FrozenBlock {
   // doubles sit verbatim inside the compressed byte buffer and scans can
   // read them in place instead of copying them out in Thaw. Returns that
   // in-place column, or nullptr when the column was actually encoded
-  // (quantized tier or double-delta payload). May be unaligned; every
-  // consumer uses unaligned loads (scalar x86-64 or loadu kernels).
+  // (quantized tier or double-delta payload) or when the payload does not
+  // sit on a double boundary — the variable-length id/ts sections before
+  // it decide that, and loading a double from a misaligned pointer is
+  // undefined behaviour, so such blocks thaw the column into scratch
+  // instead (bit-identical values, one copy).
   const double* inline_exact_values() const {
     if (compressed_ && count_ != 0 && tier_ == ValueTier::kExact &&
         bytes_[ts_end_] == 0) {
-      return reinterpret_cast<const double*>(bytes_.data() + ts_end_ + 1);
+      const uint8_t* payload = bytes_.data() + ts_end_ + 1;
+      if (reinterpret_cast<uintptr_t>(payload) % alignof(double) == 0) {
+        return reinterpret_cast<const double*>(payload);
+      }
     }
     return nullptr;
   }

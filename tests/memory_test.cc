@@ -113,17 +113,22 @@ TEST(MemoryTest, PostingMapCountsNodeAndBucketOverhead) {
   // An unordered_map of 200 near-empty lists costs far more than the sum
   // of the lists alone: each node carries the key, hash link, and heap
   // header, and the bucket array is resident too.
-  std::unordered_map<DimId, PostingList> map;
+  PostingMap map;
   size_t lists_only = 0;
   for (DimId d = 0; d < 200; ++d) {
-    map[d].Append(d, 1.0, 1.0, 0.0);
+    map.Append(d, d, 1.0, 1.0, 0.0, TieredStorageOptions{}, 0);
   }
   for (const auto& [dim, list] : map) lists_only += list.memory_bytes();
-  const size_t total = PostingMapMemoryBytes(map);
+  const size_t total = map.MemoryBytes();
+  EXPECT_EQ(total, map.MemoryBytesSlow());
   EXPECT_GT(total, lists_only);
-  // At minimum: one pointer per bucket plus a node header per entry.
-  EXPECT_GE(total - lists_only,
-            map.bucket_count() * sizeof(void*) + map.size() * 2 * sizeof(void*));
+  // At minimum: one pointer per bucket plus a node header per entry. A
+  // plain map filled with the same keys in the same order has the same
+  // bucket array.
+  std::unordered_map<DimId, PostingList> same_shape;
+  for (DimId d = 0; d < 200; ++d) same_shape[d];
+  EXPECT_GE(total - lists_only, same_shape.bucket_count() * sizeof(void*) +
+                                    map.size() * 2 * sizeof(void*));
 }
 
 TEST(MemoryTest, FrozenColdListUsesFarLessMemoryThanFlat) {
